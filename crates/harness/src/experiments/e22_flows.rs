@@ -58,7 +58,9 @@ pub struct FlowsParams {
     /// Completions per accumulator chunk before folding into the run
     /// total (exercises the per-flow streaming `merge` path).
     pub chunk: u64,
-    /// Whether to write `BENCH_6.json` (the CLI does; unit tests don't).
+    /// Whether to write `BENCH_6.json`: only a full-effort CLI run does,
+    /// so quick runs and unit tests never overwrite the committed
+    /// 10⁶-job record with small-scale numbers.
     pub write_bench: bool,
 }
 
@@ -79,7 +81,7 @@ impl FlowsParams {
                 closed_n: 150,
                 stream_n: 250_000,
                 chunk: 65_536,
-                write_bench: false,
+                write_bench: true,
             },
         };
         if let Ok(raw) = std::env::var("TF_FLOWS_N") {
@@ -199,7 +201,7 @@ pub fn e22(ctx: &RunCtx) -> Vec<Table> {
     let mut params = FlowsParams::for_effort(ctx.effort);
     // Under `cargo test` the dispatcher test runs this entry point at toy
     // scale; don't let it clobber the committed benchmark record.
-    params.write_bench = !cfg!(test);
+    params.write_bench &= !cfg!(test);
     e22_with(&params)
 }
 
@@ -450,6 +452,12 @@ mod tests {
             chunk: 64,
             write_bench: false,
         }
+    }
+
+    #[test]
+    fn only_full_effort_writes_the_bench_record() {
+        assert!(!FlowsParams::for_effort(crate::Effort::Quick).write_bench);
+        assert!(FlowsParams::for_effort(crate::Effort::Full).write_bench);
     }
 
     #[test]

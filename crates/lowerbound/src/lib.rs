@@ -49,7 +49,7 @@ pub mod mcmf;
 pub use agg::{lk_lower_bound_aggregated, AggConfig, AggregatedBound};
 pub use bounds::{size_bound, srpt_super_machine_bound};
 pub use budget::SolveBudget;
-pub use exact::{exact_slotted_opt, ExactLimits, ExactResult};
+pub use exact::{exact_slotted_opt, exact_slotted_opt_reference, ExactLimits, ExactResult};
 pub use lp::{
     last_solve_stats, lp_relaxation_solution, lp_relaxation_value, lp_relaxation_value_at_horizon,
     lp_relaxation_value_budgeted, lp_relaxation_value_certified,

@@ -75,8 +75,10 @@ impl Drop for Server {
 
 fn roundtrip(server_addr: &str, request: &str) -> String {
     let mut conn = TcpStream::connect(server_addr).expect("connect");
-    conn.write_all(request.as_bytes()).expect("send");
-    conn.write_all(b"\n").expect("send newline");
+    // One write per request line: a separate write for the newline would
+    // wait on the server's delayed ACK under Nagle's algorithm.
+    conn.write_all(format!("{request}\n").as_bytes())
+        .expect("send");
     let mut reply = String::new();
     BufReader::new(conn).read_line(&mut reply).expect("receive");
     reply

@@ -404,12 +404,12 @@ fn stream_bench(params: &FlowsParams) -> Table {
     t
 }
 
-/// Write `BENCH_6.json` at the repo root: one record per streamed policy
-/// run with nested per-flow rows — what the CI flows-smoke job asserts
+/// Write `BENCH_6.json` into the working directory (run from the repo root
+/// to refresh the committed record): one record per streamed policy run
+/// with nested per-flow rows — what the CI flows-smoke job asserts
 /// against.
 fn write_bench6(set: &FlowSet, runs: &[FlowStreamRun]) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_6.json");
+    let path = "BENCH_6.json";
 
     let mut out = String::from("{\n  \"e22_stream\": [\n");
     for (i, r) in runs.iter().enumerate() {
@@ -436,7 +436,7 @@ fn write_bench6(set: &FlowSet, runs: &[FlowStreamRun]) {
     }
     out.push_str("  ]\n}\n");
 
-    let mut f = std::fs::File::create(&path).expect("create BENCH_6.json");
+    let mut f = std::fs::File::create(path).expect("create BENCH_6.json");
     f.write_all(out.as_bytes()).expect("write BENCH_6.json");
     eprintln!("wrote {path}");
 }

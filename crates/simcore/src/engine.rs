@@ -1,4 +1,4 @@
-//! The exact event-driven simulation engine.
+//! The exact event-driven simulation engine over a materialised trace.
 //!
 //! Between *events* — job arrivals, job completions, policy review points,
 //! and (for continuously-varying policies) adaptive step boundaries — every
@@ -6,15 +6,20 @@
 //! analytically to the earliest next event. For piecewise-constant policies
 //! (RR, SRPT, SJF, FCFS, LAPS) the produced schedule is exact up to
 //! floating-point rounding; there is no time-quantization error.
+//!
+//! The event loop itself lives in [`crate::stream`] and is shared with
+//! [`crate::simulate_stream`]. What a whole trace adds is what a stream
+//! cannot know: a default adaptive step from the mean job size, an event
+//! budget from the instance size, dense per-job results, and the full
+//! [`Profile`].
 
-use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
+use crate::alloc::{MachineConfig, RateAllocator};
 use crate::error::SimError;
 use crate::profile::Profile;
 use crate::schedule::Schedule;
-use crate::stats::SimStats;
+use crate::stream::{self, StreamOptions, TraceSource};
 use crate::trace::Trace;
-use crate::{ABS_EPS, REL_EPS};
-use std::time::Instant;
+use crate::ABS_EPS;
 
 /// Engine knobs. `SimOptions::default()` is right for almost all uses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,14 +28,15 @@ pub struct SimOptions {
     /// dual-fitting analysis and the validators; costs memory ∝ events·n).
     pub record_profile: bool,
     /// Maximum step length for policies with continuously-varying rates.
-    /// `None` picks `mean_size / (64·speed)` automatically.
+    /// `None` picks `mean_size / (64·speed)` automatically. When set it
+    /// must be finite and positive ([`SimError::BadMaxStep`] otherwise).
     pub max_step: Option<f64>,
     /// Hard cap on engine events as runaway protection. `None` picks a
     /// generous bound from the instance size.
     pub max_events: Option<u64>,
     /// Measure wall-clock time spent in the policy's `allocate` into
-    /// [`SimStats::alloc_ns`]. Off by default: the two clock reads per
-    /// event cost more than a whole event on small alive sets, so only
+    /// [`crate::SimStats::alloc_ns`]. Off by default: the two clock reads
+    /// per event cost more than a whole event on small alive sets, so only
     /// diagnostic paths (harness tables, certificates) opt in.
     pub time_alloc: bool,
 }
@@ -51,250 +57,80 @@ impl SimOptions {
     }
 }
 
-/// Why the engine chose a particular step length; used to snap time exactly
-/// onto arrival instants and to attribute events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StepReason {
-    Arrival(f64),
-    Completion,
-    Review,
-    AdaptiveStep,
-}
-
 /// Simulate `policy` on `trace` under `cfg`.
 ///
 /// # Errors
-/// Propagates validation failures ([`MachineConfig::validate`]), infeasible
-/// allocations from the policy, stalls (positive remaining work but no
-/// progress possible), and event-budget exhaustion.
+/// Propagates validation failures ([`MachineConfig::validate`],
+/// [`SimError::BadMaxStep`]), infeasible allocations from the policy,
+/// stalls (positive remaining work but no progress possible), and
+/// event-budget exhaustion.
 pub fn simulate(
     trace: &Trace,
     policy: &mut dyn RateAllocator,
     cfg: MachineConfig,
     opts: SimOptions,
 ) -> Result<Schedule, SimError> {
-    cfg.validate()?;
-    policy.reset();
-
     let mut obs_span = tf_obs::span!("sim", "simulate");
-    // Tracing subsumes the opt-in allocator timing: with a sink installed
-    // the run is diagnostic anyway, so fold the alloc_ns clock reads in.
-    let time_alloc = opts.time_alloc || tf_obs::enabled();
-
     let n = trace.len();
-    let jobs = trace.jobs();
-    let mut completion = vec![f64::NAN; n];
-    let mut flow = vec![f64::NAN; n];
-    let mut profile = opts.record_profile.then(|| Profile::new(cfg.m, cfg.speed));
-    let mut stats = SimStats::default();
 
     let continuous = policy.continuous();
-    let max_step = if continuous {
-        opts.max_step.unwrap_or_else(|| {
+    let max_step = match opts.max_step {
+        None if continuous => {
             let mean = if n > 0 {
                 trace.total_size() / n as f64
             } else {
                 1.0
             };
-            (mean / cfg.speed / 64.0).max(ABS_EPS)
-        })
-    } else {
-        opts.max_step.unwrap_or(f64::INFINITY)
+            Some((mean / cfg.speed / 64.0).max(ABS_EPS))
+        }
+        step => step,
     };
-    let event_budget = opts.max_events.unwrap_or_else(|| {
+    let max_events = opts.max_events.unwrap_or_else(|| {
         let n64 = n as u64;
         let base = 4096 + 64 * n64 * n64.max(1);
-        if continuous {
-            let steps = (trace.makespan_upper_bound(cfg.speed) / max_step).ceil();
-            base + 8 * steps.min(1e15) as u64
-        } else {
-            base
+        match max_step {
+            Some(step) if continuous => {
+                let steps = (trace.makespan_upper_bound(cfg.speed) / step).ceil();
+                base + 8 * steps.min(1e15) as u64
+            }
+            _ => base,
         }
     });
 
-    // The alive set doubles as the policy's view: arrivals append, steps
-    // update `remaining`/`attained` in place, and completions compact it
-    // with a single order-preserving `retain` pass. Job ids equal trace
-    // indices, so no separate index bookkeeping is needed.
-    let mut alive: Vec<AliveJob> = Vec::new();
-    let mut next_arrival = 0usize; // index into jobs
-    let mut time = 0.0_f64;
-    let mut events: u64 = 0;
-    let mut zero_steps_in_a_row = 0u32;
-
-    // Reusable scratch, sized once per high-water mark.
-    let mut rates: Vec<f64> = Vec::new();
-
-    loop {
-        // Admit all jobs that have arrived by `time`.
-        while next_arrival < n && jobs[next_arrival].arrival <= time {
-            let j = &jobs[next_arrival];
-            alive.push(AliveJob {
-                id: j.id,
-                arrival: j.arrival,
-                size: j.size,
-                weight: j.weight,
-                remaining: j.size,
-                attained: 0.0,
-                seq: j.id,
-            });
-            next_arrival += 1;
-            events += 1;
-            stats.jobs_admitted += 1;
-        }
-        if alive.len() > stats.peak_alive {
-            stats.peak_alive = alive.len(); // alive only grows on admission
-        }
-
-        if alive.is_empty() {
-            if next_arrival >= n {
-                break; // all done
-            }
-            time = jobs[next_arrival].arrival;
-            continue;
-        }
-
-        if events > event_budget {
-            return Err(SimError::EventBudgetExhausted { events });
-        }
-
-        rates.clear();
-        rates.resize(alive.len(), 0.0);
-        let alloc_started = time_alloc.then(Instant::now);
-        policy.allocate(time, &alive, &cfg, &mut rates);
-        if let Some(t0) = alloc_started {
-            stats.alloc_ns += t0.elapsed().as_nanos() as u64;
-        }
-        check_rates(&alive, &cfg, &rates, REL_EPS)?;
-        // Clamp tolerated overshoot so downstream stays exactly feasible.
-        for r in rates.iter_mut() {
-            *r = r.clamp(0.0, cfg.job_cap());
-        }
-
-        // Earliest next event.
-        let mut dt = f64::INFINITY;
-        let mut reason = StepReason::AdaptiveStep;
-        if next_arrival < n {
-            let d = jobs[next_arrival].arrival - time;
-            if d < dt {
-                dt = d;
-                reason = StepReason::Arrival(jobs[next_arrival].arrival);
-            }
-        }
-        for (a, &r) in alive.iter().zip(&rates) {
-            if r > ABS_EPS {
-                let d = a.remaining / r;
-                if d < dt {
-                    dt = d;
-                    reason = StepReason::Completion;
-                }
-            }
-        }
-        if let Some(rev) = policy.review_in(time, &alive, &cfg) {
-            // A review in the past or at `now` would spin; insist on a
-            // minimal positive advance.
-            let rev = rev.max(ABS_EPS);
-            if rev < dt {
-                dt = rev;
-                reason = StepReason::Review;
-            }
-        }
-        if continuous && max_step < dt {
-            dt = max_step;
-            reason = StepReason::AdaptiveStep;
-        }
-
-        if !dt.is_finite() {
-            // Work remains, nothing is running, and no arrival will change
-            // that: the policy has stalled the system.
-            return Err(SimError::Stalled {
-                time,
-                alive: alive.len(),
-            });
-        }
-
-        if dt <= 0.0 {
-            zero_steps_in_a_row += 1;
-            if zero_steps_in_a_row > 2 {
-                return Err(SimError::Stalled {
-                    time,
-                    alive: alive.len(),
-                });
-            }
-        } else {
-            zero_steps_in_a_row = 0;
-        }
-
-        // Advance: record the segment (arena append, no per-segment
-        // allocation), deliver work, and detect completions in one pass.
-        if dt > 0.0 {
-            if let Some(p) = profile.as_mut() {
-                p.push(
-                    time,
-                    time + dt,
-                    alive.iter().zip(&rates).map(|(a, &r)| (a.id, r)),
-                );
-                stats.segments_recorded += 1;
-            }
-        }
-        let mut any_done = false;
-        for (a, &r) in alive.iter_mut().zip(&rates) {
-            let w = r * dt;
-            a.attained += w;
-            a.remaining -= w;
-            any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
-        }
-        let step_end = time + dt;
-        time = match reason {
-            StepReason::Arrival(at) => at, // snap exactly onto the arrival
-            _ => step_end,
-        };
-        if let Some(p) = profile.as_mut() {
-            // Snapping moves `time` off `t0 + dt` by at most one rounding
-            // step of the arrival instant (dt was computed as `at − t0`):
-            // stretching the last segment to cover it is floating-point
-            // noise, never unaccounted work.
-            debug_assert!(
-                time - step_end <= ABS_EPS + REL_EPS * time.abs(),
-                "arrival snap stretched the profile by {} at t={time}",
-                time - step_end
-            );
-            p.stretch_last_end(time); // keep profile contiguous after snapping
-        }
-        events += 1;
-        match reason {
-            StepReason::Arrival(_) => stats.arrival_steps += 1,
-            StepReason::Completion => stats.completion_steps += 1,
-            StepReason::Review => stats.review_steps += 1,
-            StepReason::AdaptiveStep => stats.adaptive_steps += 1,
-        }
-
-        // Complete jobs whose remaining work has (numerically) vanished:
-        // one order-preserving compaction, however many finish at once.
-        if any_done {
-            alive.retain(|a| {
-                if a.remaining <= a.size * REL_EPS + ABS_EPS {
-                    completion[a.id as usize] = time;
-                    flow[a.id as usize] = time - a.arrival;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    }
+    let mut completion = vec![f64::NAN; n];
+    let mut flow = vec![f64::NAN; n];
+    let mut profile = opts.record_profile.then(|| Profile::new(cfg.m, cfg.speed));
+    let report = stream::run(
+        &mut TraceSource::new(trace),
+        policy,
+        cfg,
+        StreamOptions {
+            max_step,
+            max_events: Some(max_events),
+        },
+        // Tracing subsumes the opt-in allocator timing: with a sink
+        // installed the run is diagnostic anyway, so fold the clock in.
+        opts.time_alloc || tf_obs::enabled(),
+        profile.as_mut(),
+        // Job ids equal trace indices.
+        &mut |job| {
+            completion[job.id as usize] = job.completion;
+            flow[job.id as usize] = job.flow;
+        },
+    )?;
 
     if let Some(p) = profile.as_mut() {
         let _coalesce_span = tf_obs::span!("sim", "coalesce");
         p.coalesce(ABS_EPS);
     }
 
+    let stats = report.stats;
     if tf_obs::enabled() {
         obs_span.arg("n", n as f64);
         obs_span.arg("m", cfg.m as f64);
         obs_span.arg("speed", cfg.speed);
-        obs_span.arg("events", events as f64);
-        tf_obs::counter!("sim", "events", events as f64);
+        obs_span.arg("events", report.events as f64);
+        tf_obs::counter!("sim", "events", report.events as f64);
         tf_obs::counter!("sim", "steps", stats.steps() as f64);
         tf_obs::counter!("sim", "peak_alive", stats.peak_alive as f64);
         tf_obs::counter!("sim", "alloc_ns", stats.alloc_ns as f64);
@@ -304,12 +140,12 @@ pub fn simulate(
     }
 
     Ok(Schedule {
-        policy: policy.name().to_string(),
+        policy: report.policy,
         cfg,
         completion,
         flow,
         profile,
-        events,
+        events: report.events,
         stats,
     })
 }
@@ -317,6 +153,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::AliveJob;
 
     /// Round Robin defined inline so engine tests do not depend on the
     /// policies crate (which depends on us).

@@ -82,6 +82,11 @@ pub enum SimError {
     /// of the whole trace; a stream has no such aggregate, so the caller
     /// must choose the integration step.
     MissingMaxStep,
+    /// An explicit maximum step ([`crate::SimOptions::max_step`] or
+    /// [`crate::StreamOptions::max_step`]) was non-finite or not positive.
+    /// A NaN step would disable the adaptive bound (every comparison
+    /// with it is false) and a negative one would run time backwards.
+    BadMaxStep(f64),
     /// A job source produced more jobs than [`crate::JobId`] can address
     /// (`u32::MAX`); the streaming engine refuses to wrap ids.
     JobLimitExceeded {
@@ -137,6 +142,7 @@ impl fmt::Display for SimError {
                     "streaming a continuously-varying policy requires an explicit max_step"
                 )
             }
+            SimError::BadMaxStep(s) => write!(f, "max_step {s} must be finite and positive"),
             SimError::JobLimitExceeded { limit } => {
                 write!(f, "job source exceeded the {limit}-job id space")
             }

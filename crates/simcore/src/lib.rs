@@ -24,10 +24,14 @@
 //! [`RateAllocator::continuous`] and are integrated with bounded adaptive
 //! steps.
 //!
-//! The engine can record a full [`Profile`] — the piecewise-constant rate
+//! One event loop serves two entry points. [`simulate`] runs a
+//! materialised [`Trace`] and returns a [`Schedule`] with dense per-job
+//! results; it can record a full [`Profile`] — the piecewise-constant rate
 //! trajectory with the alive set per segment — which downstream crates use
 //! to evaluate the paper's dual-fitting construction in closed form and to
-//! compute exact `ℓk` objectives.
+//! compute exact `ℓk` objectives. [`simulate_stream`] runs the same loop
+//! over a [`JobSource`] in bounded memory, retiring each job to a sink as
+//! it completes and keeping no profile.
 //!
 //! A separate [`quantum`] module provides a *discrete* Round Robin with a
 //! finite time quantum and context-switch overhead, used to measure how far
@@ -58,8 +62,7 @@ pub use schedule::Schedule;
 pub use sim::Simulation;
 pub use stats::SimStats;
 pub use stream::{
-    simulate_stream, CompletedJob, JobSource, ProfileWindow, SourcedJob, StreamOptions,
-    StreamReport, TraceSource,
+    simulate_stream, CompletedJob, JobSource, SourcedJob, StreamOptions, StreamReport, TraceSource,
 };
 /// Re-export of the observability layer, so downstream code can reach
 /// sinks and the registry without naming `tf_obs` in its own manifest.

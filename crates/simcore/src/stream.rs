@@ -1,4 +1,5 @@
-//! Streaming simulation: open workloads in bounded memory.
+//! Streaming simulation: open workloads in bounded memory, and the one
+//! event loop behind both engine entry points.
 //!
 //! [`crate::simulate`] materialises the whole instance up front — a
 //! [`crate::Trace`] plus dense completion/flow vectors plus (optionally) a
@@ -8,16 +9,16 @@
 //!
 //! * [`JobSource`] — a pull-based generator of jobs in arrival order; the
 //!   engine materialises at most **one** not-yet-arrived job at a time.
-//! * [`simulate_stream`] — the same exact event loop as
-//!   [`crate::simulate`] (identical step selection, identical arithmetic,
-//!   so closed traces replay **bit-identically** — pinned by the golden
-//!   tests in `tf-harness`), but completed jobs are *retired*: their
-//!   completion is handed to a caller-supplied sink and their state is
-//!   dropped. Memory is `O(peak alive set + window)`, independent of the
-//!   number of jobs streamed.
-//! * [`ProfileWindow`] — a ring buffer retaining the execution profile
-//!   only over a trailing time window, for dual-fitting-style analyses
-//!   over a sliding horizon.
+//! * [`simulate_stream`] — runs the event loop over a source and *retires*
+//!   completed jobs: their completion is handed to a caller-supplied sink
+//!   and their state is dropped. Memory is `O(peak alive set)`,
+//!   independent of the number of jobs streamed.
+//!
+//! Both entry points run the same crate-private loop: `simulate` streams
+//! its trace through [`TraceSource`] with a sink that fills the dense
+//! completion and flow vectors, and records the full profile when asked.
+//! A closed trace therefore replays **bit-identically** through either
+//! entry point by construction.
 //!
 //! Flow-time statistics over the full stream are computed by feeding the
 //! sink into the mergeable streaming accumulators of `tf-metrics`
@@ -27,11 +28,10 @@
 use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
 use crate::error::SimError;
 use crate::job::JobId;
-use crate::profile::{Segment, SegmentRef};
+use crate::profile::Profile;
 use crate::stats::SimStats;
 use crate::trace::Trace;
 use crate::{ABS_EPS, REL_EPS};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One job emitted by a [`JobSource`]: everything a [`crate::Job`] carries
@@ -116,30 +116,18 @@ pub struct CompletedJob {
 }
 
 /// Knobs for [`simulate_stream`]. Unlike [`crate::SimOptions`] there is no
-/// full-profile switch — streaming retains at most a [`ProfileWindow`].
+/// profile switch — streaming keeps no execution profile.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamOptions {
     /// Maximum step length for continuously-varying policies. **Required**
     /// for policies with [`RateAllocator::continuous`] `== true` (the
     /// materialised engine defaults this from the whole-trace mean size,
-    /// which a stream cannot know); ignored otherwise unless set.
+    /// which a stream cannot know); ignored otherwise unless set. When
+    /// set it must be finite and positive.
     pub max_step: Option<f64>,
     /// Hard cap on engine events. `None` = unlimited (the stream's own
     /// bound is expected to terminate the run).
     pub max_events: Option<u64>,
-    /// Retain the execution profile over a trailing window of this
-    /// duration (see [`ProfileWindow`]). `None` = record nothing.
-    pub window: Option<f64>,
-}
-
-impl StreamOptions {
-    /// Options with a trailing profile window of duration `w`.
-    pub fn with_window(w: f64) -> Self {
-        StreamOptions {
-            window: Some(w),
-            ..Default::default()
-        }
-    }
 }
 
 /// Summary of one [`simulate_stream`] run. There is deliberately no
@@ -161,131 +149,17 @@ pub struct StreamReport {
     /// The usual engine counters ([`SimStats`]); `peak_alive` is the
     /// memory high-water mark of the run.
     pub stats: SimStats,
-    /// The trailing profile window, when [`StreamOptions::window`] was
-    /// set.
-    pub profile: Option<ProfileWindow>,
-}
-
-/// A sliding-window execution profile: the piecewise-constant rate record
-/// of [`crate::Profile`], but only over the trailing `window` time units.
-/// Segments whose end falls out of the window are evicted from the front
-/// and their rate buffers recycled, so memory is bounded by the event
-/// density of the window — flat in stream length.
-#[derive(Debug, Clone)]
-pub struct ProfileWindow {
-    window: f64,
-    segs: VecDeque<Segment>,
-    /// Recycled rate buffers from evicted segments.
-    pool: Vec<Vec<(JobId, f64)>>,
-    evicted: u64,
-    /// Machine count the schedule ran on.
-    pub m: usize,
-    /// Machine speed the schedule ran at.
-    pub speed: f64,
-}
-
-impl ProfileWindow {
-    /// An empty window of duration `window` for the given environment.
-    pub fn new(window: f64, m: usize, speed: f64) -> Self {
-        ProfileWindow {
-            window,
-            segs: VecDeque::new(),
-            pool: Vec::new(),
-            evicted: 0,
-            m,
-            speed,
-        }
-    }
-
-    /// The configured window duration.
-    #[inline]
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    /// Append a segment and evict everything that has slid out of the
-    /// window ending at `t1`.
-    pub fn push(&mut self, t0: f64, t1: f64, rates: impl IntoIterator<Item = (JobId, f64)>) {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend(rates);
-        self.segs.push_back(Segment { t0, t1, rates: buf });
-        self.evict_before(t1 - self.window);
-    }
-
-    /// Drop all segments entirely before `cut` (i.e. with `t1 <= cut`).
-    pub fn evict_before(&mut self, cut: f64) {
-        while self.segs.front().is_some_and(|s| s.t1 <= cut) {
-            let s = self.segs.pop_front().expect("front exists");
-            self.pool.push(s.rates);
-            self.evicted += 1;
-        }
-    }
-
-    /// Extend the last segment's end to `t` if beyond it (the arrival-snap
-    /// adjustment, identical to [`crate::Profile::stretch_last_end`]).
-    pub fn stretch_last_end(&mut self, t: f64) {
-        if let Some(s) = self.segs.back_mut() {
-            s.t1 = s.t1.max(t);
-        }
-    }
-
-    /// Segments currently retained, oldest first.
-    pub fn segments(&self) -> impl Iterator<Item = SegmentRef<'_>> {
-        self.segs.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of retained segments.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// True iff nothing is retained.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Segments evicted so far.
-    #[inline]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Start of the oldest retained segment (0 when empty).
-    pub fn start(&self) -> f64 {
-        self.segs.front().map_or(0.0, |s| s.t0)
-    }
-
-    /// End of the newest retained segment (0 when empty).
-    pub fn end(&self) -> f64 {
-        self.segs.back().map_or(0.0, |s| s.t1)
-    }
-
-    /// Work processed across the retained window (`Σ rate·duration`).
-    pub fn total_work(&self) -> f64 {
-        self.segments().map(|s| s.total_rate() * s.duration()).sum()
-    }
-
-    /// Work received by `job` within the retained window.
-    pub fn work_of(&self, job: JobId) -> f64 {
-        self.segments()
-            .filter_map(|s| s.rate_of(job).map(|r| r * s.duration()))
-            .sum()
-    }
 }
 
 /// Simulate `policy` over the jobs pulled from `source`, delivering every
 /// completed job to `on_complete` and retiring it.
 ///
-/// The event loop is numerically identical to [`crate::simulate`]: the
-/// same admission rule, step selection, arrival snapping, and completion
-/// threshold, in the same order — a closed trace streamed through
-/// [`TraceSource`] reproduces the materialised completions **bit for
-/// bit**. The differences are purely about retention: per-job state lives
-/// only while the job is alive, and the profile (if any) covers only a
-/// trailing window.
+/// This is the event loop of [`crate::simulate`] — the same admission
+/// rule, step selection, arrival snapping, and completion threshold — so
+/// a closed trace streamed through [`TraceSource`] reproduces the
+/// materialised completions **bit for bit**. The difference is purely
+/// about retention: per-job state lives only while the job is alive, and
+/// no profile is kept.
 ///
 /// # Errors
 /// Those of [`crate::simulate`], plus [`SimError::MissingMaxStep`] for
@@ -300,11 +174,55 @@ pub fn simulate_stream(
     opts: StreamOptions,
     on_complete: &mut dyn FnMut(CompletedJob),
 ) -> Result<StreamReport, SimError> {
-    cfg.validate()?;
-    policy.reset();
-
     let mut obs_span = tf_obs::span!("sim", "stream");
-    let time_alloc = tf_obs::enabled();
+    let report = run(
+        source,
+        policy,
+        cfg,
+        opts,
+        tf_obs::enabled(),
+        None,
+        on_complete,
+    )?;
+
+    if tf_obs::enabled() {
+        obs_span.arg("n", report.completed as f64);
+        obs_span.arg("m", cfg.m as f64);
+        obs_span.arg("speed", cfg.speed);
+        obs_span.arg("events", report.events as f64);
+        tf_obs::counter!("sim", "stream_events", report.events as f64);
+        tf_obs::counter!("sim", "stream_completed", report.completed as f64);
+        tf_obs::counter!("sim", "peak_alive", report.stats.peak_alive as f64);
+    }
+    Ok(report)
+}
+
+/// The event loop behind [`crate::simulate`] and [`simulate_stream`].
+///
+/// Between events every alive job runs at a constant rate, so time
+/// advances analytically to the earliest next event: an arrival, a
+/// completion, a policy review point, or (for continuous policies) the
+/// adaptive step bound. Each finished job goes to `on_complete`; each
+/// positive-length step is appended to `profile` when one is given.
+/// `time_alloc` adds the policy's `allocate` wall time to
+/// [`SimStats::alloc_ns`]. The loop opens no span: each entry point opens
+/// its own, so engine time is never counted twice.
+pub(crate) fn run(
+    source: &mut dyn JobSource,
+    policy: &mut dyn RateAllocator,
+    cfg: MachineConfig,
+    opts: StreamOptions,
+    time_alloc: bool,
+    mut profile: Option<&mut Profile>,
+    on_complete: &mut dyn FnMut(CompletedJob),
+) -> Result<StreamReport, SimError> {
+    cfg.validate()?;
+    if let Some(step) = opts.max_step {
+        if !(step.is_finite() && step > 0.0) {
+            return Err(SimError::BadMaxStep(step));
+        }
+    }
+    policy.reset();
 
     let continuous = policy.continuous();
     if continuous && opts.max_step.is_none() {
@@ -313,9 +231,10 @@ pub fn simulate_stream(
     let max_step = opts.max_step.unwrap_or(f64::INFINITY);
     let event_budget = opts.max_events.unwrap_or(u64::MAX);
 
-    let mut profile = opts.window.map(|w| ProfileWindow::new(w, cfg.m, cfg.speed));
     let mut stats = SimStats::default();
-
+    // The alive set doubles as the policy's view: arrivals append, steps
+    // update `remaining`/`attained` in place, and completions compact it
+    // with a single order-preserving `retain` pass.
     let mut alive: Vec<AliveJob> = Vec::new();
     let mut next_id: u64 = 0;
     let mut last_arrival = 0.0_f64;
@@ -331,8 +250,7 @@ pub fn simulate_stream(
     let mut rates: Vec<f64> = Vec::new();
 
     loop {
-        // Admit all jobs that have arrived by `time` (same rule as the
-        // materialised engine: `arrival <= time`).
+        // Admit all jobs that have arrived by `time`.
         while pending.as_ref().is_some_and(|p| p.arrival <= time) {
             alive.push(pending.take().expect("checked above"));
             pending = pull(source, &mut next_id, &mut last_arrival)?;
@@ -340,12 +258,12 @@ pub fn simulate_stream(
             stats.jobs_admitted += 1;
         }
         if alive.len() > stats.peak_alive {
-            stats.peak_alive = alive.len();
+            stats.peak_alive = alive.len(); // alive only grows on admission
         }
 
         if alive.is_empty() {
             match &pending {
-                None => break, // stream exhausted, all work done
+                None => break, // source exhausted, all work done
                 Some(p) => {
                     time = p.arrival;
                     continue;
@@ -365,11 +283,12 @@ pub fn simulate_stream(
             stats.alloc_ns += t0.elapsed().as_nanos() as u64;
         }
         check_rates(&alive, &cfg, &rates, REL_EPS)?;
+        // Clamp tolerated overshoot so downstream stays exactly feasible.
         for r in rates.iter_mut() {
             *r = r.clamp(0.0, cfg.job_cap());
         }
 
-        // Earliest next event — identical selection order to `simulate`.
+        // Earliest next event.
         let mut dt = f64::INFINITY;
         let mut reason = StepReason::AdaptiveStep;
         if let Some(p) = &pending {
@@ -389,6 +308,8 @@ pub fn simulate_stream(
             }
         }
         if let Some(rev) = policy.review_in(time, &alive, &cfg) {
+            // A review in the past or at `now` would spin; insist on a
+            // minimal positive advance.
             let rev = rev.max(ABS_EPS);
             if rev < dt {
                 dt = rev;
@@ -401,6 +322,8 @@ pub fn simulate_stream(
         }
 
         if !dt.is_finite() {
+            // Work remains, nothing is running, and no arrival will change
+            // that: the policy has stalled the system.
             return Err(SimError::Stalled {
                 time,
                 alive: alive.len(),
@@ -419,8 +342,10 @@ pub fn simulate_stream(
             zero_steps_in_a_row = 0;
         }
 
+        // Advance: record the segment (arena append, no per-segment
+        // allocation), deliver work, and detect completions in one pass.
         if dt > 0.0 {
-            if let Some(p) = profile.as_mut() {
+            if let Some(p) = profile.as_deref_mut() {
                 p.push(
                     time,
                     time + dt,
@@ -441,13 +366,17 @@ pub fn simulate_stream(
             StepReason::Arrival(at) => at, // snap exactly onto the arrival
             _ => step_end,
         };
-        if let Some(p) = profile.as_mut() {
+        if let Some(p) = profile.as_deref_mut() {
+            // Snapping moves `time` off `t0 + dt` by at most one rounding
+            // step of the arrival instant (dt was computed as `at − t0`):
+            // stretching the last segment to cover it is floating-point
+            // noise, never unaccounted work.
             debug_assert!(
                 time - step_end <= ABS_EPS + REL_EPS * time.abs(),
-                "arrival snap stretched the window by {} at t={time}",
+                "arrival snap stretched the profile by {} at t={time}",
                 time - step_end
             );
-            p.stretch_last_end(time);
+            p.stretch_last_end(time); // keep profile contiguous after snapping
         }
         events += 1;
         match reason {
@@ -457,8 +386,8 @@ pub fn simulate_stream(
             StepReason::AdaptiveStep => stats.adaptive_steps += 1,
         }
 
-        // Retire completed jobs: same compaction as the materialised
-        // engine, but the record goes to the sink instead of a dense Vec.
+        // Retire jobs whose remaining work has (numerically) vanished:
+        // one order-preserving compaction, however many finish at once.
         if any_done {
             alive.retain(|a| {
                 if a.remaining <= a.size * REL_EPS + ABS_EPS {
@@ -479,16 +408,6 @@ pub fn simulate_stream(
         }
     }
 
-    if tf_obs::enabled() {
-        obs_span.arg("n", completed as f64);
-        obs_span.arg("m", cfg.m as f64);
-        obs_span.arg("speed", cfg.speed);
-        obs_span.arg("events", events as f64);
-        tf_obs::counter!("sim", "stream_events", events as f64);
-        tf_obs::counter!("sim", "stream_completed", completed as f64);
-        tf_obs::counter!("sim", "peak_alive", stats.peak_alive as f64);
-    }
-
     Ok(StreamReport {
         policy: policy.name().to_string(),
         cfg,
@@ -496,7 +415,6 @@ pub fn simulate_stream(
         events,
         end_time: time,
         stats,
-        profile,
     })
 }
 
@@ -547,9 +465,8 @@ fn pull(
     }))
 }
 
-/// Why the engine chose a particular step length (mirror of the private
-/// enum in `engine.rs`; kept local so the two loops stay independently
-/// readable).
+/// Why the engine chose a particular step length; used to snap time exactly
+/// onto arrival instants and to attribute events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StepReason {
     Arrival(f64),
@@ -626,21 +543,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(report.completed, 0);
         assert_eq!(report.end_time, 0.0);
-    }
-
-    #[test]
-    fn window_profile_is_bounded_and_covers_the_tail() {
-        // 50 well-separated unit jobs: the full profile would hold 50
-        // segments; a window of 5 time units holds a bounded suffix.
-        let t = Trace::from_pairs((0..50).map(|i| (2.0 * i as f64, 1.0))).unwrap();
-        let (_, report) = stream_completions(&t, StreamOptions::with_window(5.0));
-        let w = report.profile.unwrap();
-        assert!(w.len() <= 4, "window retained {} segments", w.len());
-        assert!(w.evicted() > 40);
-        assert_eq!(w.end(), report.end_time);
-        assert!(w.end() - w.start() <= 5.0 + 1e-9);
-        // The tail work is intact: last job ran at rate 1 for 1 unit.
-        assert!((w.work_of(49) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Engine edge cases: degenerate job sizes, exact event ties, abusive
 //! review hints, event-budget accounting, and the arrival-snap profile
-//! stretch. These pin behaviours the unit tests exercise only implicitly.
+//! stretch, and invalid step bounds. These pin behaviours the unit tests
+//! exercise only implicitly.
 
 use tf_simcore::{
-    simulate, AliveJob, MachineConfig, RateAllocator, SimError, SimOptions, Trace, ABS_EPS,
+    simulate, simulate_stream, AliveJob, MachineConfig, RateAllocator, SimError, SimOptions,
+    StreamOptions, Trace, TraceSource, ABS_EPS,
 };
 
 /// Processor sharing (ideal RR): the paper's policy, reimplemented locally
@@ -217,4 +219,65 @@ fn arrival_snap_profile_accounts_all_work() {
         assert!(b.t0 <= a.t1 + 1e-9, "overlap: {} -> {}", a.t1, b.t0);
     }
     assert!((p.end() - s.makespan()).abs() <= 1e-9);
+}
+
+/// RR declared continuous, so the engine integrates it with adaptive steps
+/// bounded by `max_step`.
+struct ContinuousRr;
+
+impl RateAllocator for ContinuousRr {
+    fn name(&self) -> &'static str {
+        "ContinuousRR"
+    }
+    fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        let share = (cfg.total_cap() / alive.len() as f64).min(cfg.job_cap());
+        rates.fill(share);
+    }
+    fn continuous(&self) -> bool {
+        true
+    }
+}
+
+/// Regression: an explicit `max_step` was never checked. NaN made every
+/// `max_step < dt` comparison false, silently switching the adaptive step
+/// off (a wrong schedule returned as `Ok`), and a negative step ran time
+/// backwards into a `Stalled` error at t < 0. Both entry points now
+/// reject a non-finite or non-positive step up front.
+#[test]
+fn bad_max_step_is_rejected_by_both_entry_points() {
+    let t = Trace::from_pairs([(0.0, 2.0), (0.0, 1.0), (0.5, 3.0), (1.0, 1.0)]).unwrap();
+    let cfg = MachineConfig::new(1);
+    for step in [f64::NAN, -1.0, 0.0, f64::INFINITY, f64::NEG_INFINITY] {
+        let policies: [&mut dyn RateAllocator; 2] = [&mut ContinuousRr, &mut Rr];
+        for policy in policies {
+            let opts = SimOptions {
+                max_step: Some(step),
+                ..SimOptions::default()
+            };
+            let e = simulate(&t, policy, cfg, opts).map(|s| s.events);
+            assert!(
+                matches!(e, Err(SimError::BadMaxStep(s)) if s.to_bits() == step.to_bits()),
+                "simulate, max_step {step}: {e:?}"
+            );
+
+            let opts = StreamOptions {
+                max_step: Some(step),
+                ..StreamOptions::default()
+            };
+            let e = simulate_stream(&mut TraceSource::new(&t), policy, cfg, opts, &mut |_| {})
+                .map(|r| r.events);
+            assert!(
+                matches!(e, Err(SimError::BadMaxStep(s)) if s.to_bits() == step.to_bits()),
+                "simulate_stream, max_step {step}: {e:?}"
+            );
+        }
+    }
+
+    // A finite positive step still runs.
+    let opts = SimOptions {
+        max_step: Some(0.25),
+        ..SimOptions::default()
+    };
+    let s = simulate(&t, &mut ContinuousRr, cfg, opts).unwrap();
+    assert!(s.stats.adaptive_steps > 0);
 }

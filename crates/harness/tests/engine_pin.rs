@@ -10,16 +10,28 @@
 //! instance families × every registered policy × {default, profile}
 //! options. The constant was generated from the two-loop engine that
 //! preceded the shared loop; any drift in a single bit fails the test.
+//!
+//! Those families all have unit weights, so a second hash pins the same
+//! outputs on weighted instances (skewed `{1, 2, 4}` weights, including a
+//! trace whose alive set is equal-weight for a stretch and mixed later):
+//! the paths of WRR, HDF and the other weight-aware policies that unit
+//! weights never reach. Its constant was generated from the engine and
+//! policies as they were before RR reported a single shared rate and
+//! SRPT/SJF/HDF/HYB selected their `m` jobs instead of sorting.
 
 use tf_policies::Policy;
 use tf_simcore::{
     simulate, simulate_stream, MachineConfig, Schedule, SimOptions, SimStats, StreamOptions, Trace,
-    TraceSource, ABS_EPS,
+    TraceBuilder, TraceSource, ABS_EPS,
 };
 use tf_workload::{PoissonWorkload, SizeDist};
 
 /// Hash of every pinned output, generated from the pre-refactor engine.
 const PINNED: u64 = 0x3dfd_2cc8_8da0_2be8;
+
+/// Hash of every pinned output on the weighted instances, generated from
+/// the engine with per-job rates everywhere and sort-based selection.
+const PINNED_WEIGHTED: u64 = 0x199c_855f_5a5e_4c86;
 
 /// 64-bit FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -125,10 +137,75 @@ fn default_max_step(trace: &Trace, cfg: &MachineConfig) -> f64 {
     (mean / cfg.speed / 64.0).max(ABS_EPS)
 }
 
-#[test]
-fn engine_outputs_match_the_pinned_hash() {
+/// A skewed `{1, 2, 4}` weight for job `i`: mostly 1, some 2, few 4.
+fn skewed_weight(i: usize) -> f64 {
+    match i.wrapping_mul(2_654_435_761) % 7 {
+        0..=3 => 1.0,
+        4 | 5 => 2.0,
+        _ => 4.0,
+    }
+}
+
+/// `trace` with job `i` re-weighted to `weight(i)`.
+fn reweighted(trace: &Trace, weight: impl Fn(usize) -> f64) -> Trace {
+    let mut b = TraceBuilder::new();
+    for (i, j) in trace.jobs().iter().enumerate() {
+        b.push_weighted(j.arrival, j.size, weight(i));
+    }
+    b.build().unwrap()
+}
+
+/// Weighted instances: the unit families' shapes with skewed weights, plus
+/// a batch trace whose first 120 jobs all weigh 2 (an equal-weight alive
+/// set for a stretch) and whose later jobs mix 1, 2 and 4.
+fn weighted_instances() -> Vec<(Trace, MachineConfig)> {
+    let equal_then_mixed =
+        Trace::from_pairs((0..240).map(|i| ((i / 4) as f64 * 1.5, 0.5 + (i % 5) as f64 * 0.5)))
+            .unwrap();
+    vec![
+        (
+            reweighted(
+                &PoissonWorkload::new(300, 0.85, 1, SizeDist::Exponential { mean: 1.0 }, 21)
+                    .generate(),
+                skewed_weight,
+            ),
+            MachineConfig::new(1),
+        ),
+        (
+            reweighted(
+                &PoissonWorkload::new(
+                    220,
+                    1.2,
+                    3,
+                    SizeDist::Pareto {
+                        alpha: 1.8,
+                        min: 0.5,
+                    },
+                    22,
+                )
+                .generate(),
+                skewed_weight,
+            ),
+            MachineConfig::with_speed(3, 1.5),
+        ),
+        (
+            reweighted(&equal_then_mixed, |i| {
+                if i < 120 {
+                    2.0
+                } else {
+                    skewed_weight(i)
+                }
+            }),
+            MachineConfig::new(2),
+        ),
+    ]
+}
+
+/// Hash every policy's outputs on `instances`: default and profile
+/// options through `simulate`, plus the streamed run.
+fn hash_runs(instances: Vec<(Trace, MachineConfig)>) -> u64 {
     let mut h = Fnv::new();
-    for (trace, cfg) in golden_instances() {
+    for (trace, cfg) in instances {
         for policy in Policy::all() {
             for opts in [SimOptions::default(), SimOptions::with_profile()] {
                 let s = simulate(&trace, policy.make().as_mut(), cfg, opts)
@@ -160,9 +237,23 @@ fn engine_outputs_match_the_pinned_hash() {
             h.stats(&report.stats);
         }
     }
+    h.0
+}
+
+#[test]
+fn engine_outputs_match_the_pinned_hash() {
+    let got = hash_runs(golden_instances());
     assert_eq!(
-        h.0, PINNED,
-        "engine outputs drifted from the pinned hash: got {:#018x}",
-        h.0
+        got, PINNED,
+        "engine outputs drifted from the pinned hash: got {got:#018x}"
+    );
+}
+
+#[test]
+fn weighted_engine_outputs_match_the_pinned_hash() {
+    let got = hash_runs(weighted_instances());
+    assert_eq!(
+        got, PINNED_WEIGHTED,
+        "weighted engine outputs drifted from the pinned hash: got {got:#018x}"
     );
 }

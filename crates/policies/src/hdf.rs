@@ -12,6 +12,7 @@
 //! assert!((s.completion[0] - 5.0).abs() < 1e-9);
 //! ```
 
+use crate::select::run_first_m;
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// HDF: run the `m` alive jobs with the highest *density* `w_j / p_j`,
@@ -38,18 +39,13 @@ impl RateAllocator for Hdf {
     }
 
     fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
-        self.order.sort_by(|&a, &b| {
+        run_first_m(cfg, rates, &mut self.order, |&a, &b| {
             let da = alive[a].weight / alive[a].size;
             let db = alive[b].weight / alive[b].size;
             db.partial_cmp(&da)
                 .unwrap()
                 .then_with(|| alive[a].seq.cmp(&alive[b].seq))
         });
-        for &i in self.order.iter().take(cfg.m) {
-            rates[i] = cfg.speed;
-        }
     }
 }
 

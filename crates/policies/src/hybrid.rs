@@ -21,6 +21,7 @@
 //! assert!(s.flow[0] < 9.0 + 1e-9);
 //! ```
 
+use crate::select::run_first_m;
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// Threshold used for [`crate::Policy::all`]'s default hybrid instance.
@@ -96,15 +97,13 @@ impl RateAllocator for SrptFcfsHybrid {
     }
 
     fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
         // Starving class first, internally FCFS (alive is (arrival, seq)-
         // sorted, so seq order *is* FCFS order); young class after,
         // internally SRPT. With no starving jobs this comparator is exactly
         // SRPT's; with only starving jobs it is exactly FCFS's identity
         // order — both limits are bitwise-pinned by tests.
         let threshold = self.threshold;
-        self.order.sort_by(|&a, &b| {
+        run_first_m(cfg, rates, &mut self.order, |&a, &b| {
             let sa = alive[a].age_at(now) >= threshold;
             let sb = alive[b].age_at(now) >= threshold;
             sb.cmp(&sa).then_with(|| {
@@ -119,9 +118,6 @@ impl RateAllocator for SrptFcfsHybrid {
                 }
             })
         });
-        for &i in self.order.iter().take(cfg.m) {
-            rates[i] = cfg.speed;
-        }
     }
 
     fn review_in(&self, now: f64, alive: &[AliveJob], _cfg: &MachineConfig) -> Option<f64> {

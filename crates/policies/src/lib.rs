@@ -54,6 +54,7 @@ mod mlfq;
 mod multilist;
 mod registry;
 mod rr;
+mod select;
 mod setf;
 mod sjf;
 mod srpt;

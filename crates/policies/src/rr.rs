@@ -26,6 +26,8 @@ use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 /// the number of alive jobs.
 ///
 /// RR is non-clairvoyant: it never inspects sizes or remaining work.
+/// Since every job gets the same rate, RR reports it through
+/// [`RateAllocator::uniform_rate`], and the engine skips `allocate`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RoundRobin;
 
@@ -52,6 +54,10 @@ impl RateAllocator for RoundRobin {
             return;
         }
         rates.fill(Self::share(cfg, alive.len()));
+    }
+
+    fn uniform_rate(&self, n_alive: usize, cfg: &MachineConfig) -> Option<f64> {
+        Some(Self::share(cfg, n_alive))
     }
 }
 

@@ -12,6 +12,7 @@
 //! assert!((s.completion[0] - 5.0).abs() < 1e-9);
 //! ```
 
+use crate::select::run_first_m;
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// SJF: at each instant, run the `m` alive jobs with the smallest *total*
@@ -37,18 +38,13 @@ impl RateAllocator for Sjf {
     }
 
     fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
-        self.order.sort_by(|&a, &b| {
+        run_first_m(cfg, rates, &mut self.order, |&a, &b| {
             alive[a]
                 .size
                 .partial_cmp(&alive[b].size)
                 .unwrap()
                 .then_with(|| alive[a].seq.cmp(&alive[b].seq))
         });
-        for &i in self.order.iter().take(cfg.m) {
-            rates[i] = cfg.speed;
-        }
     }
 }
 

@@ -13,6 +13,7 @@
 //! assert!((s.total_flow() - 6.0).abs() < 1e-9); // ℓ1-optimal on one machine
 //! ```
 
+use crate::select::run_first_m;
 use tf_simcore::{AliveJob, MachineConfig, RateAllocator};
 
 /// SRPT: at each instant, run the `m` alive jobs with least remaining work,
@@ -42,18 +43,13 @@ impl RateAllocator for Srpt {
     }
 
     fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
-        self.order.clear();
-        self.order.extend(0..alive.len());
-        self.order.sort_by(|&a, &b| {
+        run_first_m(cfg, rates, &mut self.order, |&a, &b| {
             alive[a]
                 .remaining
                 .partial_cmp(&alive[b].remaining)
                 .unwrap()
                 .then_with(|| alive[a].seq.cmp(&alive[b].seq))
         });
-        for &i in self.order.iter().take(cfg.m) {
-            rates[i] = cfg.speed;
-        }
     }
 }
 

@@ -1,14 +1,163 @@
 //! Cross-policy property tests: feasibility and known dominance relations
-//! on arbitrary traces.
+//! on arbitrary traces, plus the allocator contracts the engine relies on
+//! (`uniform_rate` agrees with `allocate`; the selecting policies pick the
+//! same jobs as sorting the whole alive set would).
 
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use tf_policies::Policy;
 use tf_simcore::validate::validate_schedule;
-use tf_simcore::{simulate, MachineConfig, SimOptions, Trace};
+use tf_simcore::{simulate, AliveJob, MachineConfig, SimOptions, Trace};
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec((0.0f64..30.0, 0.05f64..10.0), 1..25)
         .prop_map(|pairs| Trace::from_pairs(pairs).expect("valid jobs"))
+}
+
+/// An alive set of `1..64` jobs (often `≤ 4`, so `n ≤ m` is covered),
+/// sorted by `(arrival, seq)` as the engine hands it over, with values on
+/// coarse grids so remaining works, sizes, densities and ages tie often.
+/// Paired with an evaluation time no earlier than the last arrival.
+fn arb_alive() -> impl Strategy<Value = (Vec<AliveJob>, f64)> {
+    let n = prop_oneof![1usize..5, 1usize..64];
+    (n, 0u32..12)
+        .prop_flat_map(|(n, wait)| {
+            let job = (0u32..8, 1u32..8, 0u32..4, 0u32..3);
+            prop::collection::vec(job, n).prop_map(move |specs| (specs, wait))
+        })
+        .prop_map(|(mut specs, wait)| {
+            specs.sort_by_key(|s| s.0);
+            let alive: Vec<AliveJob> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(arrival, size, done, weight))| {
+                    let size = 0.5 * f64::from(size);
+                    let attained = size * f64::from(done) / 4.0;
+                    AliveJob {
+                        id: i as u32,
+                        arrival: f64::from(arrival),
+                        size,
+                        weight: [1.0, 2.0, 4.0][weight as usize],
+                        remaining: size - attained,
+                        attained,
+                        seq: i as u32,
+                    }
+                })
+                .collect();
+            let now = alive.last().map_or(0.0, |a| a.arrival) + f64::from(wait);
+            (alive, now)
+        })
+}
+
+/// `m ∈ 1..=4` machines of speed 1 or 1.5.
+fn arb_cfg() -> impl Strategy<Value = MachineConfig> {
+    (1usize..5, prop_oneof![Just(1.0), Just(1.5)])
+        .prop_map(|(m, s)| MachineConfig::with_speed(m, s))
+}
+
+/// The selection rule SRPT, SJF, HDF and HYB used before they selected:
+/// sort every index by `cmp` and run the first `m` at full speed. Kept as
+/// the oracle for their selection.
+fn sort_then_take_m(
+    alive: &[AliveJob],
+    cfg: &MachineConfig,
+    cmp: impl FnMut(&usize, &usize) -> Ordering,
+) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..alive.len()).collect();
+    order.sort_by(cmp);
+    let mut rates = vec![0.0; alive.len()];
+    for &i in order.iter().take(cfg.m) {
+        rates[i] = cfg.speed;
+    }
+    rates
+}
+
+/// The pre-selection rates of `policy` (one of SRPT, SJF, HDF, HYB).
+fn oracle_rates(policy: Policy, now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Vec<f64> {
+    let srpt = |a: &AliveJob, b: &AliveJob| {
+        a.remaining
+            .partial_cmp(&b.remaining)
+            .unwrap()
+            .then_with(|| a.seq.cmp(&b.seq))
+    };
+    match policy {
+        Policy::Srpt => sort_then_take_m(alive, cfg, |&a, &b| srpt(&alive[a], &alive[b])),
+        Policy::Sjf => sort_then_take_m(alive, cfg, |&a, &b| {
+            alive[a]
+                .size
+                .partial_cmp(&alive[b].size)
+                .unwrap()
+                .then_with(|| alive[a].seq.cmp(&alive[b].seq))
+        }),
+        Policy::Hdf => sort_then_take_m(alive, cfg, |&a, &b| {
+            let da = alive[a].weight / alive[a].size;
+            let db = alive[b].weight / alive[b].size;
+            db.partial_cmp(&da)
+                .unwrap()
+                .then_with(|| alive[a].seq.cmp(&alive[b].seq))
+        }),
+        Policy::Hybrid(theta) => sort_then_take_m(alive, cfg, |&a, &b| {
+            let sa = alive[a].age_at(now) >= theta;
+            let sb = alive[b].age_at(now) >= theta;
+            sb.cmp(&sa).then_with(|| {
+                if sa && sb {
+                    alive[a].seq.cmp(&alive[b].seq)
+                } else {
+                    srpt(&alive[a], &alive[b])
+                }
+            })
+        }),
+        other => unreachable!("no sort oracle for {other}"),
+    }
+}
+
+fn allocated(policy: Policy, now: f64, alive: &[AliveJob], cfg: &MachineConfig) -> Vec<f64> {
+    let mut rates = vec![0.0; alive.len()];
+    policy.make().allocate(now, alive, cfg, &mut rates);
+    rates
+}
+
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whenever a policy reports one shared rate `r`, its `allocate`
+    /// writes exactly `r` into every slot — the engine's licence to skip
+    /// `allocate`. RR must report one, so the property is never vacuous.
+    #[test]
+    fn uniform_rate_matches_allocate((alive, now) in arb_alive(), cfg in arb_cfg()) {
+        for p in Policy::all() {
+            let Some(r) = p.make().uniform_rate(alive.len(), &cfg) else {
+                prop_assert!(p != Policy::Rr, "RR reports no uniform rate");
+                continue;
+            };
+            let rates = allocated(p, now, &alive, &cfg);
+            prop_assert_eq!(bits(&rates), vec![r.to_bits(); alive.len()], "{}", p);
+        }
+    }
+
+    /// SRPT, SJF, HDF and HYB (at θ = 0, 2, 8 and ∞) select exactly the
+    /// jobs that sorting the whole alive set and taking `m` selects.
+    #[test]
+    fn selection_matches_sort_then_take_m((alive, now) in arb_alive(), cfg in arb_cfg()) {
+        let policies = [
+            Policy::Srpt,
+            Policy::Sjf,
+            Policy::Hdf,
+            Policy::Hybrid(0.0),
+            Policy::Hybrid(2.0),
+            Policy::Hybrid(8.0),
+            Policy::Hybrid(f64::INFINITY),
+        ];
+        for p in policies {
+            let want = oracle_rates(p, now, &alive, &cfg);
+            let got = allocated(p, now, &alive, &cfg);
+            prop_assert_eq!(bits(&got), bits(&want), "{} with n = {}, m = {}", p, alive.len(), cfg.m);
+        }
+    }
 }
 
 proptest! {

@@ -108,6 +108,21 @@ pub trait RateAllocator {
     /// is sorted by `(arrival, seq)`.
     fn allocate(&mut self, now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]);
 
+    /// The one rate every alive job gets, if the policy gives all of them
+    /// the same rate whatever else they carry (RR's `s·min(1, m/n)`).
+    ///
+    /// Contract: when this returns `Some(r)` for `n_alive` jobs, `allocate`
+    /// on any `n_alive` alive jobs under `cfg` would write exactly `r` (to
+    /// the bit) into every slot. The engine then skips `allocate` and the
+    /// rate vector and works from `r` alone, so the schedule is the same
+    /// either way. `None` (the default) keeps the per-job path. A wrapper
+    /// that delegates `allocate` to another allocator must forward this
+    /// method too, or it silently drops the inner policy onto the per-job
+    /// path.
+    fn uniform_rate(&self, _n_alive: usize, _cfg: &MachineConfig) -> Option<f64> {
+        None
+    }
+
     /// If the allocation just returned may change at a known future time
     /// even without arrivals/completions (e.g. SETF's age-equalization
     /// points), return the duration until that time. `None` means the
@@ -137,22 +152,52 @@ pub fn check_rates(
     rel_eps: f64,
 ) -> Result<(), SimError> {
     debug_assert_eq!(alive.len(), rates.len());
-    let cap = cfg.job_cap();
-    let tol = cap * rel_eps + crate::ABS_EPS;
     let mut total = 0.0;
     for (a, &r) in alive.iter().zip(rates) {
-        if !r.is_finite() || r < -tol {
-            return Err(SimError::BadRate { job: a.id, rate: r });
-        }
-        if r > cap + tol {
-            return Err(SimError::RateCapViolated {
-                job: a.id,
-                rate: r,
-                cap,
-            });
-        }
+        check_job_rate(a.id, r, cfg, rel_eps)?;
         total += r;
     }
+    check_total_rate(total, cfg, rel_eps)
+}
+
+/// [`check_rates`] for an allocation that gives every alive job the same
+/// `rate` (see [`RateAllocator::uniform_rate`]): the same checks, tolerance
+/// and [`SimError`] variants, with the total taken as `rate · n`. A bad
+/// rate is reported against the first alive job, as [`check_rates`] would.
+pub(crate) fn check_uniform_rate(
+    alive: &[AliveJob],
+    cfg: &MachineConfig,
+    rate: f64,
+    rel_eps: f64,
+) -> Result<(), SimError> {
+    let Some(first) = alive.first() else {
+        return Ok(());
+    };
+    check_job_rate(first.id, rate, cfg, rel_eps)?;
+    check_total_rate(rate * alive.len() as f64, cfg, rel_eps)
+}
+
+/// One job's rate: finite, non-negative and at most one machine, each up
+/// to the tolerance.
+fn check_job_rate(
+    job: crate::JobId,
+    rate: f64,
+    cfg: &MachineConfig,
+    rel_eps: f64,
+) -> Result<(), SimError> {
+    let cap = cfg.job_cap();
+    let tol = cap * rel_eps + crate::ABS_EPS;
+    if !rate.is_finite() || rate < -tol {
+        return Err(SimError::BadRate { job, rate });
+    }
+    if rate > cap + tol {
+        return Err(SimError::RateCapViolated { job, rate, cap });
+    }
+    Ok(())
+}
+
+/// The summed rate: at most `m·s` up to the tolerance.
+fn check_total_rate(total: f64, cfg: &MachineConfig, rel_eps: f64) -> Result<(), SimError> {
     let total_cap = cfg.total_cap();
     if total > total_cap * (1.0 + rel_eps) + crate::ABS_EPS {
         return Err(SimError::TotalRateViolated {
@@ -222,6 +267,21 @@ mod tests {
             check_rates(&a, &cfg, &[f64::NAN, 0.0, 0.0], 1e-9),
             Err(SimError::BadRate { .. })
         ));
+    }
+
+    #[test]
+    fn check_uniform_rate_agrees_with_check_rates() {
+        let cfg = MachineConfig::with_speed(2, 1.0);
+        let a = alive(3);
+        let variant = |r: Result<(), SimError>| r.map_err(|e| std::mem::discriminant(&e));
+        for rate in [0.0, 0.5, 2.0 / 3.0, 0.7, 1.5, -0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                variant(check_uniform_rate(&a, &cfg, rate, 1e-9)),
+                variant(check_rates(&a, &cfg, &[rate; 3], 1e-9)),
+                "rate {rate}"
+            );
+        }
+        assert!(check_uniform_rate(&[], &cfg, f64::NAN, 1e-9).is_ok());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! (`StreamingFlowStats`, `StreamingNorm`), which never need the
 //! completion vector either.
 
-use crate::alloc::{check_rates, AliveJob, MachineConfig, RateAllocator};
+use crate::alloc::{check_rates, check_uniform_rate, AliveJob, MachineConfig, RateAllocator};
 use crate::error::SimError;
 use crate::job::JobId;
 use crate::profile::Profile;
@@ -207,6 +207,15 @@ pub fn simulate_stream(
 /// `time_alloc` adds the policy's `allocate` wall time to
 /// [`SimStats::alloc_ns`]. The loop opens no span: each entry point opens
 /// its own, so engine time is never counted twice.
+///
+/// When the policy reports one shared rate
+/// ([`RateAllocator::uniform_rate`]), a step skips `allocate` and the rate
+/// vector and reads that one number wherever a per-job rate would be read:
+/// the feasibility check, the earliest completion (`min remaining / r`,
+/// equal to the per-job minimum because division by a positive rate is
+/// monotone), the profile and the advance. Everything else is shared, and
+/// the floating-point operations per job are the same, so both paths give
+/// the same schedule to the bit.
 pub(crate) fn run(
     source: &mut dyn JobSource,
     policy: &mut dyn RateAllocator,
@@ -275,18 +284,30 @@ pub(crate) fn run(
             return Err(SimError::EventBudgetExhausted { events });
         }
 
-        rates.clear();
-        rates.resize(alive.len(), 0.0);
         let alloc_started = time_alloc.then(Instant::now);
-        policy.allocate(time, &alive, &cfg, &mut rates);
+        let uniform = policy.uniform_rate(alive.len(), &cfg);
+        if uniform.is_none() {
+            rates.clear();
+            rates.resize(alive.len(), 0.0);
+            policy.allocate(time, &alive, &cfg, &mut rates);
+        }
         if let Some(t0) = alloc_started {
             stats.alloc_ns += t0.elapsed().as_nanos() as u64;
         }
-        check_rates(&alive, &cfg, &rates, REL_EPS)?;
         // Clamp tolerated overshoot so downstream stays exactly feasible.
-        for r in rates.iter_mut() {
-            *r = r.clamp(0.0, cfg.job_cap());
-        }
+        let uniform = match uniform {
+            Some(r) => {
+                check_uniform_rate(&alive, &cfg, r, REL_EPS)?;
+                Some(r.clamp(0.0, cfg.job_cap()))
+            }
+            None => {
+                check_rates(&alive, &cfg, &rates, REL_EPS)?;
+                for r in rates.iter_mut() {
+                    *r = r.clamp(0.0, cfg.job_cap());
+                }
+                None
+            }
+        };
 
         // Earliest next event.
         let mut dt = f64::INFINITY;
@@ -298,12 +319,23 @@ pub(crate) fn run(
                 reason = StepReason::Arrival(p.arrival);
             }
         }
-        for (a, &r) in alive.iter().zip(&rates) {
-            if r > ABS_EPS {
-                let d = a.remaining / r;
-                if d < dt {
-                    dt = d;
-                    reason = StepReason::Completion;
+        let mut completes_in = |d: f64| {
+            if d < dt {
+                dt = d;
+                reason = StepReason::Completion;
+            }
+        };
+        match uniform {
+            Some(r) if r > ABS_EPS => {
+                let least = alive.iter().fold(f64::INFINITY, |m, a| m.min(a.remaining));
+                completes_in(least / r);
+            }
+            Some(_) => {}
+            None => {
+                for (a, &r) in alive.iter().zip(&rates) {
+                    if r > ABS_EPS {
+                        completes_in(a.remaining / r);
+                    }
                 }
             }
         }
@@ -346,20 +378,30 @@ pub(crate) fn run(
         // allocation), deliver work, and detect completions in one pass.
         if dt > 0.0 {
             if let Some(p) = profile.as_deref_mut() {
-                p.push(
-                    time,
-                    time + dt,
-                    alive.iter().zip(&rates).map(|(a, &r)| (a.id, r)),
-                );
+                match uniform {
+                    Some(r) => p.push(time, time + dt, alive.iter().map(|a| (a.id, r))),
+                    None => p.push(
+                        time,
+                        time + dt,
+                        alive.iter().zip(&rates).map(|(a, &r)| (a.id, r)),
+                    ),
+                }
                 stats.segments_recorded += 1;
             }
         }
         let mut any_done = false;
-        for (a, &r) in alive.iter_mut().zip(&rates) {
-            let w = r * dt;
-            a.attained += w;
-            a.remaining -= w;
-            any_done |= a.remaining <= a.size * REL_EPS + ABS_EPS;
+        match uniform {
+            Some(r) => {
+                let w = r * dt;
+                for a in alive.iter_mut() {
+                    any_done |= advance(a, w);
+                }
+            }
+            None => {
+                for (a, &r) in alive.iter_mut().zip(&rates) {
+                    any_done |= advance(a, r * dt);
+                }
+            }
         }
         let step_end = time + dt;
         time = match reason {
@@ -416,6 +458,14 @@ pub(crate) fn run(
         end_time: time,
         stats,
     })
+}
+
+/// Deliver `w` units of work to `a`; true if it has (numerically) finished.
+#[inline]
+fn advance(a: &mut AliveJob, w: f64) -> bool {
+    a.attained += w;
+    a.remaining -= w;
+    a.remaining <= a.size * REL_EPS + ABS_EPS
 }
 
 /// Pull and validate the next job from the source, assigning the next

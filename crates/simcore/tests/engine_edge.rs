@@ -281,3 +281,110 @@ fn bad_max_step_is_rejected_by_both_entry_points() {
     let s = simulate(&t, &mut ContinuousRr, cfg, opts).unwrap();
     assert!(s.stats.adaptive_steps > 0);
 }
+
+/// A rate as a function of the machines and the alive count.
+type RateRule = fn(&MachineConfig, usize) -> f64;
+
+/// A rate rule over the alive count: the allocator gives every alive job
+/// `rate(cfg, n)`, and reports that number through
+/// [`RateAllocator::uniform_rate`] when `uniform` is set. The two variants
+/// are twins: the same rates, down the shared-rate and the per-job path of
+/// the engine respectively.
+struct Shared {
+    rate: RateRule,
+    uniform: bool,
+}
+
+impl RateAllocator for Shared {
+    fn name(&self) -> &'static str {
+        "Shared"
+    }
+    fn allocate(&mut self, _now: f64, alive: &[AliveJob], cfg: &MachineConfig, rates: &mut [f64]) {
+        rates.fill((self.rate)(cfg, alive.len()));
+    }
+    fn uniform_rate(&self, n_alive: usize, cfg: &MachineConfig) -> Option<f64> {
+        self.uniform.then(|| (self.rate)(cfg, n_alive))
+    }
+}
+
+/// The twins of `rate`: (shared-rate path, per-job path).
+fn twins(rate: RateRule) -> [Shared; 2] {
+    [true, false].map(|uniform| Shared { rate, uniform })
+}
+
+/// An infeasible shared rate fails with the same typed error down both
+/// paths: NaN is a `BadRate`, more than one machine per job a
+/// `RateCapViolated`, and `n·r > m·s` a `TotalRateViolated`.
+#[test]
+fn infeasible_uniform_rates_fail_like_their_per_job_twins() {
+    let t = Trace::from_pairs([(0.0, 1.0), (0.0, 2.0), (0.5, 1.0)]).unwrap();
+    let cfg = MachineConfig::with_speed(2, 1.5);
+    let cases: [(RateRule, &str); 3] = [
+        (|_, _| f64::NAN, "BadRate"),
+        (|cfg, _| 2.0 * cfg.job_cap(), "RateCapViolated"),
+        (|cfg, _| cfg.job_cap(), "TotalRateViolated"),
+    ];
+    for (rate, want) in cases {
+        let errs = twins(rate).map(|mut p| {
+            let e = simulate(&t, &mut p, cfg, SimOptions::default()).map(|s| s.events);
+            let variant = match e {
+                Err(SimError::BadRate { job, .. }) => ("BadRate", Some(job)),
+                Err(SimError::RateCapViolated { job, .. }) => ("RateCapViolated", Some(job)),
+                Err(SimError::TotalRateViolated { .. }) => ("TotalRateViolated", None),
+                other => panic!("{want}: expected a rate error, got {other:?}"),
+            };
+            let streamed = simulate_stream(
+                &mut TraceSource::new(&t),
+                &mut p,
+                cfg,
+                StreamOptions::default(),
+                &mut |_| {},
+            );
+            assert!(streamed.is_err(), "{want}: the streamed run succeeded");
+            variant
+        });
+        assert_eq!(errs[0].0, want);
+        assert_eq!(errs[0], errs[1], "{want}: the twins disagree");
+    }
+}
+
+/// The shared-rate path records the per-job path's profile bit for bit
+/// (segments, job ids and rates), with the same completions and counters,
+/// on overloaded and underloaded stretches alike.
+#[test]
+fn uniform_rate_profile_matches_per_job_twin_bitwise() {
+    let t = Trace::from_pairs([
+        (0.0, 3.0),
+        (0.0, 1.0),
+        (0.3, 2.0),
+        (0.3, 0.7),
+        (1.1, 0.25),
+        (4.0, 5.0),
+        (9.0, 1.0),
+    ])
+    .unwrap();
+    for cfg in [MachineConfig::new(1), MachineConfig::with_speed(2, 1.5)] {
+        let [u, p] = twins(|cfg, n| cfg.speed * (cfg.m as f64 / n as f64).min(1.0))
+            .map(|mut a| simulate(&t, &mut a, cfg, SimOptions::with_profile()).unwrap());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&u.completion), bits(&p.completion));
+        assert_eq!(bits(&u.flow), bits(&p.flow));
+        assert_eq!(u.events, p.events);
+        assert_eq!(u.stats, p.stats);
+        let segments = |s: &tf_simcore::Schedule| {
+            s.profile
+                .as_ref()
+                .unwrap()
+                .segments()
+                .map(|seg| {
+                    let rates: Vec<(u32, u64)> =
+                        seg.rates.iter().map(|&(id, r)| (id, r.to_bits())).collect();
+                    (seg.t0.to_bits(), seg.t1.to_bits(), rates)
+                })
+                .collect::<Vec<_>>()
+        };
+        let (su, sp) = (segments(&u), segments(&p));
+        assert!(su.len() > 1);
+        assert_eq!(su, sp);
+    }
+}
